@@ -693,9 +693,11 @@ func setupSearch(b *testing.B) {
 
 // BenchmarkSearchTopK measures the full collection-scale ranked search path
 // on the shared corpora: snapshot, candidate intersection, BM25 scoring and
-// snippet extraction for the top 10 (no XPath filter, so the posting tier
-// dominates). Pinned in CI: this is the paper-facing latency of "which
-// documents talk about X".
+// snippet extraction for the top 10, with no XPath filter. Time splits
+// about evenly between the posting tier's term-frequency binary searches
+// and the snippets (one FM backward search plus a plain-store scan that
+// stops at the first text holding the term). Pinned in CI: this is the
+// paper-facing latency of "which documents talk about X".
 func BenchmarkSearchTopK(b *testing.B) {
 	setupSearch(b)
 	ctx := context.Background()

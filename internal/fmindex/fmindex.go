@@ -309,6 +309,25 @@ func (x *Index) Contains(p []byte) []int {
 	return ids
 }
 
+// FirstText returns the smallest identifier of a text containing p, and
+// false when no text does. It locates the rows of p's backward-search range
+// like Contains but keeps only the running minimum — no set, no sort — and
+// stops early once text 0 is seen, so it costs at most one locate per
+// occurrence.
+func (x *Index) FirstText(p []byte) (id int, ok bool) {
+	sp, ep := x.BackwardSearch(p)
+	if ep <= sp {
+		return 0, false
+	}
+	id = x.d
+	for i := sp; i < ep && id > 0; i++ {
+		if t, _ := x.PosToText(x.locateRow(i)); t < id {
+			id = t
+		}
+	}
+	return id, true
+}
+
 // ContainsCount returns the number of distinct texts containing p.
 func (x *Index) ContainsCount(p []byte) int { return len(x.Contains(p)) }
 

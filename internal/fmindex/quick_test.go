@@ -161,3 +161,23 @@ func TestQuickLFIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Invariant: FirstText is the head of Contains — the lowest id of a text
+// holding p — and reports absence exactly when Contains is empty.
+func TestQuickFirstText(t *testing.T) {
+	f := func(texts collection, p pattern) bool {
+		idx, err := New(texts, Options{SampleRate: 3})
+		if err != nil {
+			return false
+		}
+		ids := idx.Contains(p)
+		id, ok := idx.FirstText(p)
+		if len(ids) == 0 {
+			return !ok
+		}
+		return ok && id == ids[0]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,22 +8,27 @@ import (
 	"repro/internal/wordindex"
 )
 
-// maxSnippetScan bounds the document bytes a snippet extraction may scan
-// linearly when the FM-index cannot answer (word terms are case-folded,
+// maxSnippetScan bounds the document bytes the case-folding fallback may
+// scan when the raw term bytes occur nowhere (word terms are case-folded,
 // the FM-index matches raw bytes): snippets are presentation, not
 // correctness, so a pathological document costs a bounded amount of work
-// and simply yields no snippet.
+// and simply yields no snippet. The exact scan needs no budget: it runs
+// only once the FM-index has confirmed a hit, and stops at it.
 const maxSnippetScan = 1 << 20
 
 // SnippetWidth is the default snippet window in bytes.
 const SnippetWidth = 160
 
 // Snippet extracts a short text window around the first occurrence of the
-// first query term in the document behind dp, preferring the FM-index
-// (exact bytes, O(term) to find the texts containing it) and falling back
-// to a bounded case-insensitive scan of the text store. It returns ""
-// when the postings carry no document or nothing matches within the scan
-// budget.
+// first query term in the document behind dp: the lowest text id whose raw
+// bytes contain the term, at the first byte offset, falling back to a
+// bounded case-insensitive scan of the text store when the raw bytes occur
+// nowhere. One FM backward search, O(term), decides whether they occur;
+// the text is then found by an id-ordered scan of the plain store, so the
+// cost never grows with the number of occurrences. Without a plain store
+// (SkipPlain) the FM-index locates every occurrence to find the lowest
+// text, O(occurrences × sample rate). It returns "" when the postings
+// carry no document or nothing matches within the scan budget.
 func Snippet(ctx context.Context, dp *DocPostings, terms []Term, width int) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
@@ -37,16 +42,25 @@ func Snippet(ctx context.Context, dp *DocPostings, terms []Term, width int) (str
 	}
 	pat := []byte(terms[0].Text)
 
-	// FM first: for phrases the raw bytes are the exact match; for word
+	// Exact bytes first: for phrases they are the match itself; for word
 	// terms the folded token still matches documents that use it in
 	// lowercase, which is the common case.
-	if fm := d.FM; fm != nil {
-		ids := fm.Contains(pat)
-		polls := 0
-		for _, id := range ids {
-			if err := pollCtx(ctx, &polls); err != nil {
-				return "", err
+	if fm := d.FM; fm != nil && fm.GlobalCount(pat) > 0 {
+		if d.Plain != nil {
+			// The plain store holds the FM texts verbatim, so the first
+			// text that contains the bytes is the lowest id the FM-index
+			// would locate.
+			polls := 0
+			for id := 0; id < d.Plain.Len(); id++ {
+				if err := pollCtx(ctx, &polls); err != nil {
+					return "", err
+				}
+				text := d.Plain.Get(id)
+				if at := bytes.Index(text, pat); at >= 0 {
+					return window(text, at, len(pat), width), nil
+				}
 			}
+		} else if id, ok := fm.FirstText(pat); ok {
 			text := d.Text(id)
 			if at := bytes.Index(text, pat); at >= 0 {
 				return window(text, at, len(pat), width), nil
