@@ -19,7 +19,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -136,7 +135,7 @@ func main() {
 		check(err)
 		var eng *core.Engine
 		if core.IsIndexData(data) {
-			eng, err = core.Load(bytes.NewReader(data), cfg)
+			eng, err = core.LoadMapped(data, cfg)
 		} else {
 			eng, err = core.BuildContext(ctx, data, cfg)
 		}

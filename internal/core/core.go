@@ -7,9 +7,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -49,9 +47,12 @@ type Engine struct {
 	Doc  *xmltree.Doc
 	opts Config
 
-	// backing keeps the mapped index file alive for mapped engines; nil
-	// for built or copy-loaded engines.
+	// backing keeps the file image alive for engines opened by OpenFile;
+	// nil for built or loaded engines.
 	backing *mmap.File
+	// mappedBytes is the size of the OS mapping the payloads alias: zero
+	// unless backing is a real mapping. Clones carry it, not backing.
+	mappedBytes int
 
 	// postings caches the word-level postings of Postings(), built on
 	// first use. Clones (WithEval/WithQueryOptions) start with a fresh
@@ -74,8 +75,9 @@ type Config struct {
 	// the wavelet tree — the RLCSA swap of Section 6.7 for repetitive
 	// collections.
 	RunLength bool
-	// NoMmap disables the memory-mapped load path of OpenFile: the index is
-	// copied into private memory as with LoadFile.
+	// NoMmap disables the memory mapping of OpenFile: as with LoadFile,
+	// the whole file is read into private memory (including an FM section
+	// that SkipFM never decodes) and decoded from there.
 	NoMmap bool
 	// BuildProcs is the worker count for parallel index construction
 	// (0 = GOMAXPROCS). Any value produces the same index.
@@ -136,8 +138,8 @@ func BuildFile(path string, cfg Config) (*Engine, error) {
 }
 
 // Save writes the index to w in the versioned container format of package
-// persist; Load reads it back. Loading skips suffix sorting and is much
-// faster than Build (Figure 8).
+// persist; Load and OpenFile read it back. Loading skips suffix sorting and
+// is much faster than Build (Figure 8).
 func (e *Engine) Save(w io.Writer) (int64, error) { return e.Doc.WriteTo(w) }
 
 // SaveFile writes the index to path, returning the number of bytes
@@ -211,16 +213,21 @@ func (cw *ctxWriter) Write(p []byte) (int, error) {
 	return cw.w.Write(p)
 }
 
-// Load reads an index previously written by Save.
+// Load reads an index previously written by Save. The whole stream is
+// read into one aligned private buffer (sized up front when r reports its
+// length) and decoded by LoadMapped, so the engine keeps the buffer alive
+// and its payloads alias it. Indexes older than the aligned format are
+// rejected with an error naming their version; rebuild them from XML.
 func Load(r io.Reader, cfg Config) (*Engine, error) {
-	doc, err := xmltree.ReadIndex(r, cfg.treeOptions())
+	data, err := persist.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{Doc: doc, opts: cfg}, nil
+	return LoadMapped(data, cfg)
 }
 
-// LoadFile reads an index file previously written by SaveFile.
+// LoadFile reads an index file previously written by SaveFile into private
+// memory, as Load does.
 func LoadFile(path string, cfg Config) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -230,17 +237,13 @@ func LoadFile(path string, cfg Config) (*Engine, error) {
 	return Load(f, cfg)
 }
 
-// ErrNotMappable reports an index whose on-disk version predates the
-// aligned layout; it loads through Load/LoadFile but not LoadMapped.
-var ErrNotMappable = xmltree.ErrNotMappable
-
-// LoadMapped reads an index out of data — typically an mmap'd file —
-// aliasing the succinct payloads in place instead of copying them. Only
-// derived directories are built on the heap, so the load cost is
-// independent of the text and tree payload sizes. data must stay alive
+// LoadMapped reads an index out of data — an mmap'd file or a private
+// buffer — aliasing the succinct payloads in place instead of copying
+// them. Only derived directories are built on the heap, so the load cost
+// is independent of the text and tree payload sizes. data must stay alive
 // and unchanged for the engine's whole lifetime (for a real mapping, keep
-// the mapping open; OpenFile manages that automatically). Indexes older
-// than the aligned format return ErrNotMappable.
+// the mapping open; OpenFile manages that automatically). A data buffer
+// whose base is not 8-byte aligned is copied first.
 func LoadMapped(data []byte, cfg Config) (*Engine, error) {
 	doc, err := xmltree.ReadIndexMapped(persist.EnsureAligned(data), cfg.treeOptions())
 	if err != nil {
@@ -250,13 +253,12 @@ func LoadMapped(data []byte, cfg Config) (*Engine, error) {
 }
 
 // OpenFile opens an index file for querying with the fastest available
-// path: the file is memory-mapped (or, on platforms without mmap, read
-// into one aligned buffer) and loaded zero-copy via LoadMapped, so opening
-// a multi-gigabyte index costs only its derived directories and restarts
-// hit the OS page cache instead of re-reading the index. Pre-aligned-
-// layout files, big-endian hosts, and cfg.NoMmap all fall back to the
-// copying load. The engine owns the mapping; release it with Close once
-// the engine is no longer in use.
+// path: the file is memory-mapped and loaded zero-copy via LoadMapped, so
+// opening a multi-gigabyte index costs only its derived directories and
+// restarts hit the OS page cache instead of re-reading the index. With
+// cfg.NoMmap, or on platforms without mmap, the file is instead read into
+// one aligned private buffer and decoded the same way. The engine owns the
+// file image; release it with Close once the engine is no longer in use.
 func OpenFile(path string, cfg Config) (*Engine, error) {
 	if cfg.NoMmap {
 		return LoadFile(path, cfg)
@@ -266,37 +268,35 @@ func OpenFile(path string, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	eng, err := LoadMapped(m.Data(), cfg)
-	if err == nil {
-		eng.backing = m
-		// Fallback release: once the document — the object whose slices
-		// alias the mapping, shared by every clone and compiled query — is
-		// unreachable, unmap. This is what keeps a long-running service
-		// that replaces documents (collection.Add over an existing name)
-		// from accumulating dead mappings; explicit Close stays available
-		// for deterministic release and the two compose because Close is
-		// idempotent. Caveat: a caller that keeps an aliased []byte (e.g. a
-		// Doc.Text result) without keeping the engine or document alive has
-		// already broken the documented lifetime contract.
-		runtime.SetFinalizer(eng.Doc, func(*xmltree.Doc) { m.Close() })
-		return eng, nil
+	if err != nil {
+		m.Close()
+		return nil, err
 	}
-	if errors.Is(err, ErrNotMappable) {
-		// Old unaligned container: decode it the copying way, straight out
-		// of the mapped bytes, then drop the mapping.
-		eng, err = Load(bytes.NewReader(m.Data()), cfg)
+	eng.backing = m
+	if m.Mapped() {
+		eng.mappedBytes = m.Size()
 	}
-	m.Close()
-	return eng, err
+	// Fallback release: once the document — the object whose slices alias
+	// the mapping, shared by every clone and compiled query — is
+	// unreachable, unmap. This is what keeps a long-running service that
+	// replaces documents (collection.Add over an existing name) from
+	// accumulating dead mappings; explicit Close stays available for
+	// deterministic release and the two compose because Close is
+	// idempotent. Caveat: a caller that keeps an aliased []byte (e.g. a
+	// Doc.Text result) without keeping the engine or document alive has
+	// already broken the documented lifetime contract.
+	runtime.SetFinalizer(eng.Doc, func(*xmltree.Doc) { m.Close() })
+	return eng, nil
 }
 
-// Mapped reports whether the engine's payloads alias a mapped (or aligned
-// fallback) buffer rather than private heap memory.
-func (e *Engine) Mapped() bool { return e.Doc.MappedBytes() > 0 }
+// Mapped reports whether the engine's payloads alias an OS memory mapping
+// (shared with the page cache) rather than private heap memory.
+func (e *Engine) Mapped() bool { return e.mappedBytes > 0 }
 
-// Close releases the mapping behind a mapped engine; it is a no-op for
-// heap-loaded engines and is idempotent. The caller must guarantee that
-// neither the engine nor any clone of it is used afterwards — their
-// payloads point into the released region.
+// Close releases the file image behind an engine opened by OpenFile; it
+// is a no-op for built or loaded engines and is idempotent. The caller
+// must guarantee that neither the engine nor any clone of it is used
+// afterwards — their payloads point into the released region.
 func (e *Engine) Close() error {
 	if e.backing == nil {
 		return nil
@@ -398,8 +398,8 @@ func (e *Engine) SerializeContext(ctx context.Context, query string, w io.Writer
 }
 
 // Stats describes the in-memory footprint of the index components
-// (Figure 8's memory column). For mapped engines, Mapped is true,
-// MappedBytes is the size of the aliased index file, and HeapBytes
+// (Figure 8's memory column). For engines backed by an OS mapping, Mapped
+// is true, MappedBytes is the size of the mapped index file, and HeapBytes
 // estimates the private memory left over (the derived directories): the
 // component byte counts include the aliased payloads, so heap usage is
 // their total minus the mapping.
@@ -426,8 +426,8 @@ func (e *Engine) Stats() Stats {
 		TextBytes:  text,
 		PlainBytes: plain,
 	}
-	st.MappedBytes = e.Doc.MappedBytes()
-	st.Mapped = st.MappedBytes > 0
+	st.MappedBytes = e.mappedBytes
+	st.Mapped = e.Mapped()
 	st.HeapBytes = max(0, tree+text+plain-st.MappedBytes)
 	return st
 }
@@ -453,7 +453,7 @@ func (e *Engine) WithEval(opts automata.Options) *Engine {
 	cfg := e.opts
 	cfg.Query = cloneQueryOptions(cfg.Query)
 	cfg.Query.Eval = opts
-	return &Engine{Doc: e.Doc, opts: cfg}
+	return &Engine{Doc: e.Doc, opts: cfg, mappedBytes: e.mappedBytes}
 }
 
 // WithQueryOptions returns a copy of the engine using the given query
@@ -462,7 +462,7 @@ func (e *Engine) WithEval(opts automata.Options) *Engine {
 func (e *Engine) WithQueryOptions(opts xpath.Options) *Engine {
 	cfg := e.opts
 	cfg.Query = cloneQueryOptions(opts)
-	return &Engine{Doc: e.Doc, opts: cfg}
+	return &Engine{Doc: e.Doc, opts: cfg, mappedBytes: e.mappedBytes}
 }
 
 func (e *Engine) String() string {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/mmap"
 	"repro/internal/persist"
 	"repro/internal/xpath"
 )
@@ -68,8 +69,8 @@ func TestMappedIdenticalOutput(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: mapped open: %v", c.name, err)
 		}
-		if !mapped.Mapped() {
-			t.Fatalf("%s: OpenFile did not map", c.name)
+		if mapped.Mapped() != mmap.Supported {
+			t.Fatalf("%s: OpenFile mapped=%v on a platform with mmap=%v", c.name, mapped.Mapped(), mmap.Supported)
 		}
 		if copied.Mapped() {
 			t.Fatalf("%s: LoadFile claims to be mapped", c.name)
@@ -127,16 +128,14 @@ func TestMappedRunLength(t *testing.T) {
 	}
 }
 
-// TestOpenFileFallbacks: NoMmap and pre-alignment files both take the
-// copying path and still answer queries.
+// TestOpenFileFallbacks: NoMmap takes the private-buffer path, is not
+// reported as mapped, and still answers queries.
 func TestOpenFileFallbacks(t *testing.T) {
 	e, err := Build([]byte(persistDoc), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
-	path := filepath.Join(dir, "doc.sxsi")
+	path := filepath.Join(t.TempDir(), "doc.sxsi")
 	if _, err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -147,33 +146,8 @@ func TestOpenFileFallbacks(t *testing.T) {
 	if noMap.Mapped() {
 		t.Fatal("NoMmap engine claims to be mapped")
 	}
-
-	// A version-2 (unaligned) file: OpenFile must fall back to copying.
-	var old bytes.Buffer
-	if _, err := e.Doc.WriteToVersion(&old, 2); err != nil {
-		t.Fatal(err)
-	}
-	oldPath := filepath.Join(dir, "old.sxsi")
-	if err := os.WriteFile(oldPath, old.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	oldEng, err := OpenFile(oldPath, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldEng.Mapped() {
-		t.Fatal("v2 engine claims to be mapped")
-	}
-	for _, eng := range []*Engine{noMap, oldEng} {
-		n, err := eng.Count("//item")
-		if err != nil || n != 2 {
-			t.Fatalf("count=%d err=%v", n, err)
-		}
-	}
-
-	// LoadMapped on a v2 stream reports the typed sentinel.
-	if _, err := LoadMapped(old.Bytes(), Config{}); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("LoadMapped(v2): want ErrNotMappable, got %v", err)
+	if n, err := noMap.Count("//item"); err != nil || n != 2 {
+		t.Fatalf("count=%d err=%v", n, err)
 	}
 }
 
@@ -214,7 +188,8 @@ func TestOpenFileCorruptMapped(t *testing.T) {
 }
 
 // TestMappedStats: the stats of a mapped engine expose the mapped/heap
-// split; heap-loaded engines report zero mapped bytes.
+// split; built and loaded engines — whose payloads live in private memory
+// even when they alias a Load buffer — report zero mapped bytes.
 func TestMappedStats(t *testing.T) {
 	e, err := Build([]byte(persistDoc), Config{})
 	if err != nil {
@@ -231,11 +206,21 @@ func TestMappedStats(t *testing.T) {
 	}
 	defer mapped.Close()
 	st := mapped.Stats()
-	if !st.Mapped || int64(st.MappedBytes) != n {
+	if mmap.Supported && (!st.Mapped || int64(st.MappedBytes) != n) {
 		t.Fatalf("mapped stats: %+v (file %d bytes)", st, n)
 	}
-	if hs := e.Stats(); hs.Mapped || hs.MappedBytes != 0 {
-		t.Fatalf("built stats: %+v", hs)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(bytes.NewReader(saved), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, heap := range []*Engine{e, loaded} {
+		if hs := heap.Stats(); hs.Mapped || hs.MappedBytes != 0 || heap.Mapped() {
+			t.Fatalf("heap engine stats: %+v", hs)
+		}
 	}
 }
 
@@ -316,7 +301,7 @@ func TestMappedEngineIsZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.Doc.MappedBytes() == 0 {
+	if mmap.Supported && m.Stats().MappedBytes == 0 {
 		t.Fatal("no mapped bytes")
 	}
 	// The engine and a re-opened engine must not share heap: two separate

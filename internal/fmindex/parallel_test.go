@@ -9,17 +9,15 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/persist/persisttest"
 )
 
 // saveBytes serializes an index the way .sxsi files embed it; byte equality
 // here is what makes parallel and serial builds produce identical files.
 func saveBytes(t *testing.T, x *Index) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return persisttest.Encode(x.Store)
 }
 
 // assertIdentical pins the parallel build against the serial one: identical

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 	"repro/internal/rlfm"
 )
 
@@ -16,6 +17,11 @@ var persistTexts = [][]byte{
 	[]byte("gold ring"),
 	[]byte("ring of gold"),
 	[]byte("abra"),
+}
+
+// load decodes data with builder, as Read does inside an index file.
+func load(data []byte, builder SequenceBuilder) (*Index, error) {
+	return persisttest.Decode(data, func(mr *persist.MReader) *Index { return Read(mr, builder) })
 }
 
 func checkSameIndex(t *testing.T, a, b *Index) {
@@ -59,11 +65,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()), nil)
+	got, err := load(persisttest.Encode(x.Store), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +77,7 @@ func TestIndexSaveLoadEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, nil)
+	got, err := load(persisttest.Encode(x.Store), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +96,7 @@ func TestIndexSaveLoadCrossSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	gotRL, err := Load(bytes.NewReader(buf.Bytes()), rlBuilder)
+	gotRL, err := load(persisttest.Encode(x.Store), rlBuilder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +106,7 @@ func TestIndexSaveLoadCrossSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf2 bytes.Buffer
-	if err := xRL.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	gotWT, err := Load(bytes.NewReader(buf2.Bytes()), nil)
+	gotWT, err := load(persisttest.Encode(xRL.Store), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,18 +118,16 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	x.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Encode(x.Store)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut]), nil); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := load(data[:cut], nil); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Text count inconsistent with the terminator count.
 	bad := append([]byte(nil), data...)
 	bad[9]++ // d field (format byte + n)
-	if _, err := Load(bytes.NewReader(bad), nil); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := load(bad, nil); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad d: %v", err)
 	}
 }

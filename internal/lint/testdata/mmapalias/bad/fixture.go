@@ -12,7 +12,7 @@ type holder struct {
 	data []byte
 }
 
-func mutate(src persist.Source) *holder {
+func mutate(src *persist.MReader) *holder {
 	b := src.Bytes()
 	b[0] = 1 // want `write through slice derived from mapped index memory`
 	var tmp [4]byte
@@ -27,7 +27,7 @@ func mutate(src persist.Source) *holder {
 	return h
 }
 
-func reslice(src persist.Source) {
+func reslice(src *persist.MReader) {
 	b := src.Raw(16)
 	c := b[2:8]
 	c[0] = 9 // want `write through slice derived from mapped index memory`

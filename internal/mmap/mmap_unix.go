@@ -7,6 +7,10 @@ import (
 	"syscall"
 )
 
+// Supported reports whether Open creates a real OS mapping on this
+// platform.
+const Supported = true
+
 // open maps the file read-only. The file descriptor is closed before
 // returning — the mapping keeps the pages reachable on its own.
 func open(path string) (*File, error) {

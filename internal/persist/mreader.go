@@ -3,6 +3,8 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"io/fs"
 	"runtime"
 	"sync"
 	"unsafe"
@@ -16,36 +18,36 @@ var nativeIsLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// MReader deserializes primitives from an in-memory buffer — typically an
-// mmap'd index file. It implements Source like the streaming Reader, with
-// one crucial difference: Words, Int32s, Bytes and Raw return slices that
-// alias the buffer instead of copying it, so loading a structure through an
-// MReader costs O(derived directories), not O(index size), and the pages
+// MReader deserializes the primitives written by Writer from an in-memory
+// buffer — an mmap'd index file, or the aligned private buffer of copy
+// mode. Words, Int32s, Bytes and Raw return slices that alias the buffer
+// instead of copying it, so loading a structure through an MReader costs
+// O(derived directories), not O(index size), and on a mapping the pages
 // behind the payloads stay shared with the OS page cache.
 //
 // Aliasing []uint64 and []int32 requires the element start to sit on its
-// natural boundary in memory. The aligned container format guarantees the
-// right in-buffer offsets; the buffer itself must start 8-byte aligned
-// (mmap regions are page-aligned; heap fallbacks must allocate via
-// AlignedBuffer). When the buffer start is unaligned, or the host is
-// big-endian, or the reader is switched out of aligned mode, MReader
-// silently decodes by copying instead — callers still get correct data,
-// just not zero-copy.
+// natural boundary in memory. The container format guarantees the right
+// in-buffer offsets; the buffer itself must start 8-byte aligned (mmap
+// regions are page-aligned; heap buffers must come from AlignedBuffer or
+// ReadAll). When the buffer start is unaligned or the host is big-endian,
+// MReader silently decodes by copying instead — callers still get correct
+// data, just not zero-copy.
 //
 // The returned slices share memory with the buffer: they are read-only and
 // valid only while the backing buffer (and any mapping behind it) stays
-// alive and unchanged. The first error sticks, as with Reader.
+// alive and unchanged. The first error sticks and subsequent reads return
+// zero values; check Err once after the last read, or rely on the
+// validation the caller performs on the decoded values.
 type MReader struct {
 	data     []byte
 	off      int
-	aligned  bool
 	canAlias bool
 	err      error
 }
 
-// NewMReader returns an MReader over data, in aligned mode.
+// NewMReader returns an MReader over data.
 func NewMReader(data []byte) *MReader {
-	mr := &MReader{data: data, aligned: true}
+	mr := &MReader{data: data}
 	mr.canAlias = nativeIsLittle &&
 		(len(data) == 0 || uintptr(unsafe.Pointer(&data[0]))&7 == 0)
 	return mr
@@ -54,10 +56,6 @@ func NewMReader(data []byte) *MReader {
 // Aliasing reports whether payload slices alias the buffer (as opposed to
 // the copying fallback for unaligned buffers or big-endian hosts).
 func (mr *MReader) Aliasing() bool { return mr.canAlias }
-
-// SetAligned switches the alignment mode of subsequent reads. Outside
-// aligned mode payloads have no alignment guarantee, so they are copied.
-func (mr *MReader) SetAligned(on bool) { mr.aligned = on }
 
 func (mr *MReader) fail(what string) {
 	if mr.err == nil {
@@ -169,9 +167,7 @@ func (mr *MReader) Raw(n int) []byte {
 // Words reads a length-prefixed []uint64 aliasing the buffer (zero-copy on
 // aligned little-endian buffers, copied otherwise).
 func (mr *MReader) Words() []uint64 {
-	if mr.aligned {
-		mr.align8()
-	}
+	mr.align8()
 	n, ok := mr.sliceLen(8)
 	if !ok {
 		return nil
@@ -179,7 +175,7 @@ func (mr *MReader) Words() []uint64 {
 	if n == 0 {
 		return []uint64{}
 	}
-	if mr.canAlias && mr.aligned && mr.off&7 == 0 {
+	if mr.canAlias {
 		ws := unsafe.Slice((*uint64)(unsafe.Pointer(&mr.data[mr.off])), n)
 		mr.off += 8 * n
 		return ws
@@ -194,9 +190,7 @@ func (mr *MReader) Words() []uint64 {
 
 // Int32s reads a length-prefixed []int32 aliasing the buffer.
 func (mr *MReader) Int32s() []int32 {
-	if mr.aligned {
-		mr.align8()
-	}
+	mr.align8()
 	n, ok := mr.sliceLen(4)
 	if !ok {
 		return nil
@@ -204,7 +198,7 @@ func (mr *MReader) Int32s() []int32 {
 	if n == 0 {
 		return []int32{}
 	}
-	if mr.canAlias && mr.aligned && mr.off&3 == 0 {
+	if mr.canAlias {
 		xs := unsafe.Slice((*int32)(unsafe.Pointer(&mr.data[mr.off])), n)
 		mr.off += 4 * n
 		return xs
@@ -221,6 +215,7 @@ func (mr *MReader) Int32s() []int32 {
 func (mr *MReader) Err() error { return mr.err }
 
 // Check returns cond ? nil : a corruption error with the given context.
+// Loaders use it to turn validation failures into uniform errors.
 func (mr *MReader) Check(cond bool, what string) error {
 	if mr.err != nil {
 		return mr.err
@@ -232,14 +227,50 @@ func (mr *MReader) Check(cond bool, what string) error {
 }
 
 // AlignedBuffer returns an 8-byte-aligned byte slice of length n, for
-// read-everything fallbacks that must feed an MReader without an mmap
-// region behind it.
+// buffers that must feed an MReader without an mmap region behind them.
 func AlignedBuffer(n int) []byte {
 	if n == 0 {
 		return nil
 	}
 	words := make([]uint64, (n+7)/8)
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
+}
+
+// ReadAll reads r to EOF into one 8-byte-aligned private buffer: the copy
+// mode input of the mapped decoders. The buffer is sized up front when r
+// reports its length — a regular file's Stat size, or Len() for
+// bytes.Reader, bytes.Buffer and strings.Reader — so the common loads
+// allocate once and never copy. Only readers of unknown length grow the
+// buffer by doubling.
+func ReadAll(r io.Reader) ([]byte, error) {
+	size := 512
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if st, err := s.Stat(); err == nil && st.Mode().IsRegular() && int64(int(st.Size())) == st.Size() {
+			size = int(st.Size())
+		}
+	}
+	// One spare byte lets the EOF read land without growing an exactly
+	// sized buffer.
+	buf := AlignedBuffer(size + 1)
+	n := 0
+	for {
+		if n == len(buf) {
+			grown := AlignedBuffer(2 * len(buf))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := r.Read(buf[n:])
+		n += k
+		if err == io.EOF {
+			return buf[:n:n], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // EnsureAligned returns data if its base is 8-byte aligned, or an aligned
@@ -254,16 +285,14 @@ func EnsureAligned(data []byte) []byte {
 	return cp
 }
 
-// Chunked runs fn over the index ranges of [0, n), split across the CPUs
-// when src is a mapped reader: mapped payloads are random-access and fully
-// bounds-checked up front, so validation and slicing passes over them
-// parallelize trivially. Streaming sources run fn(0, n) inline, keeping
-// the sequential load path exactly as it always was. fn must treat its
-// range as exclusive property; Chunked waits for all chunks.
-func Chunked(src Source, n int, fn func(lo, hi int)) {
+// Chunked runs fn over the index ranges of [0, n), split across the CPUs:
+// MReader payloads are random-access and fully bounds-checked up front, so
+// validation and slicing passes over them parallelize trivially. fn must
+// treat its range as exclusive property; Chunked waits for all chunks.
+func Chunked(n int, fn func(lo, hi int)) {
 	const minChunk = 1 << 16
 	workers := runtime.GOMAXPROCS(0)
-	if _, mapped := src.(*MReader); !mapped || workers == 1 || n < 2*minChunk {
+	if workers == 1 || n < 2*minChunk {
 		fn(0, n)
 		return
 	}
@@ -284,45 +313,35 @@ func Chunked(src Source, n int, fn func(lo, hi int)) {
 
 // --- Mapped container ---
 
-// MappedFile walks the sections of an aligned container held in memory,
-// mirroring FileReader over a buffer. Sections decode through MReaders, so
-// payloads alias the buffer.
+// MappedFile walks the sections of a container held in memory. Sections
+// decode through MReaders, so payloads alias the buffer.
 type MappedFile struct {
-	data    []byte
-	pos     int
-	version uint16
-	aligned bool
+	data []byte
+	pos  int
 }
 
-// ErrNotMappable reports a container whose format version predates the
-// aligned layout: its payloads are not alignment-padded, so it cannot be
-// aliased and must be loaded through the copying path instead.
-var ErrNotMappable = fmt.Errorf("persist: container version predates the aligned layout")
-
 // OpenMappedContainer checks the magic and version of the container in
-// data and positions a section walker at the first section. Containers
-// older than alignedFrom return ErrNotMappable.
-func OpenMappedContainer(data []byte, magic string, maxVersion, alignedFrom uint16) (*MappedFile, error) {
+// data and positions a section walker at the first section. Only the given
+// version is understood: newer files come from a newer build, and older
+// ones predate the aligned layout and must be rebuilt from their source.
+// Both are reported as errors wrapping ErrCorrupt that name the version.
+func OpenMappedContainer(data []byte, magic string, version uint16) (*MappedFile, error) {
 	if len(data) < len(magic)+2 {
 		return nil, fmt.Errorf("%w: missing magic", ErrCorrupt)
 	}
 	if string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
 	}
-	ver := binary.LittleEndian.Uint16(data[len(magic):])
-	if ver == 0 || ver > maxVersion {
-		return nil, fmt.Errorf("%w: unsupported format version %d (newest understood: %d)", ErrCorrupt, ver, maxVersion)
+	switch ver := binary.LittleEndian.Uint16(data[len(magic):]); {
+	case ver > version:
+		return nil, fmt.Errorf("%w: unsupported format version %d (newest understood: %d)", ErrCorrupt, ver, version)
+	case ver < version:
+		return nil, fmt.Errorf("%w: legacy format version %d (this build reads version %d); rebuild the index from its XML source", ErrCorrupt, ver, version)
 	}
-	if alignedFrom == 0 || ver < alignedFrom {
-		return nil, ErrNotMappable
-	}
-	mf := &MappedFile{data: data, pos: len(magic) + 2, version: ver, aligned: true}
+	mf := &MappedFile{data: data, pos: len(magic) + 2}
 	mf.pos += -mf.pos & 7 // header padding
 	return mf, nil
 }
-
-// Version returns the container's format version.
-func (mf *MappedFile) Version() uint16 { return mf.version }
 
 // Next returns the next section's id and an MReader over its payload, or
 // id 0 at the end marker.
@@ -346,6 +365,5 @@ func (mf *MappedFile) Next() (uint32, *MReader, error) {
 	}
 	payload := mf.data[mf.pos : mf.pos+int(length) : mf.pos+int(length)]
 	mf.pos += int(length)
-	mr := NewMReader(payload)
-	return id, mr, nil
+	return id, NewMReader(payload), nil
 }

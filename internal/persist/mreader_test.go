@@ -7,13 +7,12 @@ import (
 	"unsafe"
 )
 
-// writeAligned serializes one of every primitive with an aligned Writer,
-// returning the stream and the expected values.
+// writeAligned serializes one of every primitive, interleaving scalars
+// with the padded word payloads, and returns the stream.
 func writeAligned(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
-	pw.SetAligned(true)
 	pw.Byte(0xAB)
 	pw.Words([]uint64{1, 1 << 63, 0})
 	pw.Uint32(7)
@@ -29,7 +28,7 @@ func writeAligned(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func checkAlignedStream(t *testing.T, pr Source) {
+func checkAlignedStream(t *testing.T, pr *MReader) {
 	t.Helper()
 	if v := pr.Byte(); v != 0xAB {
 		t.Fatalf("Byte=%x", v)
@@ -63,16 +62,10 @@ func checkAlignedStream(t *testing.T, pr Source) {
 	}
 }
 
-// TestAlignedStreamBothReaders decodes one aligned stream through the
-// streaming Reader and the mapped MReader: the Source contract.
-func TestAlignedStreamBothReaders(t *testing.T) {
-	data := writeAligned(t)
-	pr := NewReader(bytes.NewReader(data))
-	pr.SetAligned(true)
-	checkAlignedStream(t, pr)
-
-	aligned := EnsureAligned(data)
-	checkAlignedStream(t, NewMReader(aligned))
+// TestAlignedStreamRoundTrip decodes the padded stream through an MReader
+// over an aligned buffer, the zero-copy configuration.
+func TestAlignedStreamRoundTrip(t *testing.T) {
+	checkAlignedStream(t, NewMReader(EnsureAligned(writeAligned(t))))
 }
 
 // TestMReaderAliases proves the zero-copy property: the slices returned by
@@ -80,7 +73,6 @@ func TestAlignedStreamBothReaders(t *testing.T) {
 func TestMReaderAliases(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
-	pw.SetAligned(true)
 	pw.Words([]uint64{11, 22})
 	pw.Int32s([]int32{33, 44})
 	pw.Bytes([]byte("payload"))
@@ -144,25 +136,49 @@ func TestMReaderTruncation(t *testing.T) {
 	}
 }
 
-// TestMReaderImplausibleLength mirrors the streaming reader's cap.
+// TestMReaderImplausibleLength: an absurd length prefix, or a negative or
+// oversized raw length, fails with ErrCorrupt before anything is sliced
+// or allocated.
 func TestMReaderImplausibleLength(t *testing.T) {
 	var buf bytes.Buffer
 	pw := NewWriter(&buf)
 	pw.Uint64(1 << 62)
 	pw.Flush()
 	mr := NewMReader(EnsureAligned(buf.Bytes()))
-	mr.SetAligned(false)
 	if b := mr.Bytes(); b != nil || !errors.Is(mr.Err(), ErrCorrupt) {
 		t.Fatalf("b=%v err=%v", b, mr.Err())
 	}
+	for _, n := range []int{-1, maxLen + 1} {
+		mr := NewMReader(make([]byte, 16))
+		if b := mr.Raw(n); b != nil || !errors.Is(mr.Err(), ErrCorrupt) {
+			t.Fatalf("Raw(%d): b=%v err=%v", n, b, mr.Err())
+		}
+	}
 }
 
-// TestAlignedContainerRoundTrip writes an aligned container and reads it
-// back through both FileReader and OpenMappedContainer, checking payload
-// alignment along the way.
+// TestMReaderErrorSticks: after the first failure every read returns a
+// zero value and Err keeps reporting that first error.
+func TestMReaderErrorSticks(t *testing.T) {
+	mr := NewMReader(nil)
+	mr.Uint64()
+	first := mr.Err()
+	if first == nil {
+		t.Fatal("expected error")
+	}
+	if xs := mr.Int32s(); xs != nil || mr.Err() != first {
+		t.Fatalf("error did not stick: %v, %v", xs, mr.Err())
+	}
+	if mr.Check(true, "ok") != first {
+		t.Fatal("Check hid the first error")
+	}
+}
+
+// TestAlignedContainerRoundTrip writes a container whose sections end on
+// odd offsets and checks that every section payload still starts on an
+// 8-byte boundary, so word payloads alias the buffer in place.
 func TestAlignedContainerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 3, true)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.String("one") })
 	fw.Section(9, func(pw *Writer) { pw.Int(99) })
 	fw.Section(2, func(pw *Writer) { pw.Byte(1); pw.Words([]uint64{5, 6}) })
@@ -170,86 +186,64 @@ func TestAlignedContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	data := EnsureAligned(buf.Bytes())
 	if n != int64(len(data)) {
 		t.Fatalf("Close reported %d bytes, wrote %d", n, len(data))
 	}
-
-	// Streaming read with alignment from version 3 on.
-	fr, err := NewFileReader(bytes.NewReader(data), "MAGIC!", 3, 3)
+	mf, err := OpenMappedContainer(data, "MAGIC!", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, pr, err := fr.Next()
-	if err != nil || id != 1 || pr.String() != "one" {
-		t.Fatalf("section 1: id=%d err=%v", id, err)
+	base := uintptr(unsafe.Pointer(&data[0]))
+	for _, want := range []uint32{1, 9, 2} {
+		id, mr, err := mf.Next()
+		if err != nil || id != want {
+			t.Fatalf("section %d: id=%d err=%v", want, id, err)
+		}
+		if off := uintptr(unsafe.Pointer(&mr.data[0])) - base; off&7 != 0 {
+			t.Fatalf("section %d payload at offset %d", id, off)
+		}
+		switch id {
+		case 1:
+			if s := mr.String(); s != "one" {
+				t.Fatalf("section 1 payload: %q", s)
+			}
+		case 2:
+			if mr.Byte() != 1 {
+				t.Fatal("section 2 leading byte")
+			}
+			w := mr.Words()
+			if len(w) != 2 || w[0] != 5 || w[1] != 6 {
+				t.Fatalf("section 2 payload: %v", w)
+			}
+			if mr.Aliasing() && uintptr(unsafe.Pointer(&w[0]))&7 != 0 {
+				t.Fatal("section 2 words not aligned")
+			}
+		}
 	}
-	id, _, err = fr.Next() // skip the unknown section by length
-	if err != nil || id != 9 {
-		t.Fatalf("section 9: id=%d err=%v", id, err)
-	}
-	id, pr, err = fr.Next()
-	if err != nil || id != 2 || pr.Byte() != 1 {
-		t.Fatalf("section 2: id=%d err=%v", id, err)
-	}
-	if w := pr.Words(); len(w) != 2 || w[0] != 5 || w[1] != 6 {
-		t.Fatalf("section 2 payload: %v", w)
-	}
-	if id, _, err = fr.Next(); err != nil || id != 0 {
+	if id, _, err := mf.Next(); err != nil || id != 0 {
 		t.Fatalf("end: id=%d err=%v", id, err)
-	}
-
-	// Mapped read.
-	mf, err := OpenMappedContainer(EnsureAligned(data), "MAGIC!", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, mr, err := mf.Next()
-	if err != nil || id != 1 || mr.String() != "one" {
-		t.Fatalf("mapped section 1: id=%d err=%v", id, err)
-	}
-	id, _, err = mf.Next()
-	if err != nil || id != 9 {
-		t.Fatalf("mapped section 9: id=%d err=%v", id, err)
-	}
-	id, mr, err = mf.Next()
-	if err != nil || id != 2 || mr.Byte() != 1 {
-		t.Fatalf("mapped section 2: id=%d err=%v", id, err)
-	}
-	if w := mr.Words(); len(w) != 2 || w[1] != 6 {
-		t.Fatalf("mapped section 2 payload: %v", w)
-	}
-	if id, _, err = mf.Next(); err != nil || id != 0 {
-		t.Fatalf("mapped end: id=%d err=%v", id, err)
 	}
 }
 
-// TestOpenMappedContainerRejects: wrong magic, future version, unaligned
-// (old) version, truncations.
+// TestOpenMappedContainerRejects: wrong magic, future version,
+// truncations.
 func TestOpenMappedContainerRejects(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 3, true)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.Words(make([]uint64, 64)) })
 	fw.Close()
 	data := EnsureAligned(buf.Bytes())
 
-	if _, err := OpenMappedContainer([]byte("WRONG!aa"), "MAGIC!", 3, 3); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer([]byte("WRONG!aa"), "MAGIC!", 3); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := OpenMappedContainer(data, "MAGIC!", 2, 2); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer(data, "MAGIC!", 2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("future version: %v", err)
 	}
 
-	var old bytes.Buffer
-	ow := NewFileWriter(&old, "MAGIC!", 2, false)
-	ow.Section(1, func(pw *Writer) { pw.Int(1) })
-	ow.Close()
-	if _, err := OpenMappedContainer(EnsureAligned(old.Bytes()), "MAGIC!", 3, 3); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("old version: %v", err)
-	}
-
 	for cut := 0; cut < len(data); cut++ {
-		mf, err := OpenMappedContainer(EnsureAligned(data[:cut]), "MAGIC!", 3, 3)
+		mf, err := OpenMappedContainer(EnsureAligned(data[:cut]), "MAGIC!", 3)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("cut=%d header err=%v", cut, err)
@@ -275,21 +269,6 @@ func TestOpenMappedContainerRejects(t *testing.T) {
 		if !detected {
 			t.Fatalf("cut=%d: truncation not detected", cut)
 		}
-	}
-}
-
-// TestUnalignedWriterUnchanged pins that non-aligned serialization is
-// byte-for-byte what it was before alignment existed: no padding anywhere.
-func TestUnalignedWriterUnchanged(t *testing.T) {
-	var buf bytes.Buffer
-	pw := NewWriter(&buf)
-	pw.Byte(1)
-	pw.Words([]uint64{2})
-	pw.Int32s([]int32{3})
-	pw.Flush()
-	// byte + (len + word) + (len + int32) with no padding
-	if want := 1 + 8 + 8 + 8 + 4; buf.Len() != want {
-		t.Fatalf("unaligned stream is %d bytes, want %d", buf.Len(), want)
 	}
 }
 

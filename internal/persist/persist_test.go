@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestPrimitivesRoundTrip(t *testing.T) {
@@ -27,7 +31,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		t.Fatalf("Count=%d len=%d", pw.Count(), buf.Len())
 	}
 
-	pr := NewReader(&buf)
+	pr := NewMReader(EnsureAligned(buf.Bytes()))
 	if v := pr.Uint64(); v != 42 {
 		t.Fatalf("Uint64=%d", v)
 	}
@@ -63,49 +67,9 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReaderTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	pw := NewWriter(&buf)
-	pw.Bytes(make([]byte, 1000))
-	pw.Flush()
-	data := buf.Bytes()
-	// Every proper prefix must produce ErrCorrupt, never a panic.
-	for cut := 0; cut < len(data); cut += 7 {
-		pr := NewReader(bytes.NewReader(data[:cut]))
-		pr.Bytes()
-		if !errors.Is(pr.Err(), ErrCorrupt) {
-			t.Fatalf("cut=%d err=%v", cut, pr.Err())
-		}
-	}
-}
-
-func TestReaderImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	pw := NewWriter(&buf)
-	pw.Uint64(1 << 62) // absurd length prefix
-	pw.Flush()
-	pr := NewReader(&buf)
-	if b := pr.Bytes(); b != nil || !errors.Is(pr.Err(), ErrCorrupt) {
-		t.Fatalf("b=%v err=%v", b, pr.Err())
-	}
-}
-
-func TestReaderErrorSticks(t *testing.T) {
-	pr := NewReader(bytes.NewReader(nil))
-	pr.Uint64()
-	first := pr.Err()
-	if first == nil {
-		t.Fatal("expected error")
-	}
-	pr.Int32s()
-	if pr.Err() != first {
-		t.Fatal("error did not stick")
-	}
-}
-
 func TestContainerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 3, false)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.String("one") })
 	fw.Section(9, func(pw *Writer) { pw.Int(99) })
 	fw.Section(2, func(pw *Writer) { pw.Words([]uint64{5, 6}) })
@@ -117,56 +81,69 @@ func TestContainerRoundTrip(t *testing.T) {
 		t.Fatalf("Close reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	fr, err := NewFileReader(&buf, "MAGIC!", 3, 0)
+	mf, err := OpenMappedContainer(EnsureAligned(buf.Bytes()), "MAGIC!", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Version() != 3 {
-		t.Fatalf("version=%d", fr.Version())
-	}
-	id, pr, err := fr.Next()
+	id, pr, err := mf.Next()
 	if err != nil || id != 1 || pr.String() != "one" {
 		t.Fatalf("section 1: id=%d err=%v", id, err)
 	}
 	// Section 9 is "unknown": skip it without reading the payload.
-	id, _, err = fr.Next()
+	id, _, err = mf.Next()
 	if err != nil || id != 9 {
 		t.Fatalf("section 9: id=%d err=%v", id, err)
 	}
-	id, pr, err = fr.Next()
+	id, pr, err = mf.Next()
 	if err != nil || id != 2 {
 		t.Fatalf("section 2: id=%d err=%v", id, err)
 	}
 	if w := pr.Words(); len(w) != 2 || w[0] != 5 {
 		t.Fatalf("section 2 payload: %v", w)
 	}
-	id, _, err = fr.Next()
+	id, _, err = mf.Next()
 	if err != nil || id != 0 {
 		t.Fatalf("end: id=%d err=%v", id, err)
 	}
 }
 
+// TestContainerBadHeader: wrong or truncated magic, a version from a newer
+// build, and versions that predate the aligned layout (0 never existed, 2
+// is the last unaligned one) are all refused before any payload is read,
+// with an ErrCorrupt error that names the offending version.
 func TestContainerBadHeader(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 2, false)
+	fw := NewFileWriter(&buf, "MAGIC!", 3)
 	fw.Section(1, func(pw *Writer) { pw.Int(1) })
 	fw.Close()
-	data := buf.Bytes()
+	data := EnsureAligned(buf.Bytes())
 
-	if _, err := NewFileReader(bytes.NewReader([]byte("WRONG!....")), "MAGIC!", 2, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer([]byte("WRONG!...."), "MAGIC!", 3); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
 	}
-	if _, err := NewFileReader(bytes.NewReader(data), "MAGIC!", 1, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("future version: %v", err)
-	}
-	if _, err := NewFileReader(bytes.NewReader(data[:3]), "MAGIC!", 2, 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenMappedContainer(data[:3], "MAGIC!", 3); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated magic: %v", err)
+	}
+	for _, c := range []struct {
+		file, reader uint16
+		want         string
+	}{
+		{3, 2, "version 3"},
+		{2, 3, "legacy format version 2"},
+		{0, 3, "legacy format version 0"},
+	} {
+		hdr := append([]byte(nil), data...)
+		hdr[6], hdr[7] = byte(c.file), byte(c.file>>8)
+		_, err := OpenMappedContainer(EnsureAligned(hdr), "MAGIC!", c.reader)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("file v%d, reader v%d: %v (want %q)", c.file, c.reader, err, c.want)
+		}
 	}
 }
 
 func TestContainerTruncatedSection(t *testing.T) {
 	var buf bytes.Buffer
-	fw := NewFileWriter(&buf, "MAGIC!", 1, false)
+	fw := NewFileWriter(&buf, "MAGIC!", 1)
 	fw.Section(1, func(pw *Writer) { pw.Bytes(make([]byte, 500)) })
 	fw.Section(2, func(pw *Writer) { pw.Int(2) })
 	fw.Close()
@@ -174,7 +151,7 @@ func TestContainerTruncatedSection(t *testing.T) {
 	// Every proper prefix of the stream must surface ErrCorrupt somewhere —
 	// at the header, at a section header, or inside a payload read.
 	for cut := 0; cut < len(data); cut++ {
-		fr, err := NewFileReader(bytes.NewReader(data[:cut]), "MAGIC!", 1, 0)
+		mf, err := OpenMappedContainer(EnsureAligned(data[:cut]), "MAGIC!", 1)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("cut=%d header err=%v", cut, err)
@@ -183,7 +160,7 @@ func TestContainerTruncatedSection(t *testing.T) {
 		}
 		detected := false
 		for {
-			id, pr, err := fr.Next()
+			id, pr, err := mf.Next()
 			if err != nil {
 				detected = errors.Is(err, ErrCorrupt)
 				break
@@ -228,3 +205,58 @@ func TestWriterErrorSticks(t *testing.T) {
 		t.Fatal("Err not sticky")
 	}
 }
+
+// oneByteReader hides the length of its data, forcing ReadAll to grow.
+type oneByteReader struct{ data []byte }
+
+func (r *oneByteReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	p[0] = r.data[0]
+	r.data = r.data[1:]
+	return 1, nil
+}
+
+// TestReadAll: every kind of reader — sized (file, bytes.Reader,
+// bytes.Buffer) or of unknown length, empty or longer than the growth
+// step — yields the exact contents in an 8-byte-aligned buffer.
+func TestReadAll(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f")
+	for _, n := range []int{0, 1, 511, 512, 513, 5000} {
+		want := bytes.Repeat([]byte{0x5A}, n)
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]io.Reader{
+			"file":           f,
+			"bytes.Reader":   bytes.NewReader(want),
+			"bytes.Buffer":   bytes.NewBuffer(append([]byte(nil), want...)),
+			"unknown-length": &oneByteReader{data: want},
+		} {
+			got, err := ReadAll(r)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s n=%d: %d bytes, err=%v", name, n, len(got), err)
+			}
+			if n > 0 && uintptr(unsafe.Pointer(&got[0]))&7 != 0 {
+				t.Fatalf("%s n=%d: buffer not 8-byte aligned", name, n)
+			}
+		}
+		f.Close()
+	}
+	if _, err := ReadAll(failingReader{}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("read error not propagated: %v", err)
+	}
+}
+
+// failingReader fails on its first read.
+type failingReader struct{}
+
+func (failingReader) Read([]byte) (int, error) { return 0, io.ErrClosedPipe }

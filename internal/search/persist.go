@@ -2,7 +2,6 @@ package search
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,8 +13,8 @@ import (
 	"repro/internal/persist"
 )
 
-// On-disk layout: an aligned v3-style persist container (the same section
-// framing every other structure uses), magic "SXSIPOST". Section 1 is the
+// On-disk layout: a persist container (the same aligned section framing
+// every other structure uses), magic "SXSIPOST". Section 1 is the
 // metadata (document count, total token count); each document is its own
 // section 2 — name, token count, the sorted term blob, the int32 end
 // offsets and the int32 term frequencies. The aligned layout means
@@ -26,8 +25,7 @@ import (
 const PostingsMagic = "SXSIPOST"
 
 const (
-	postingsVersion     = 1
-	postingsAlignedFrom = 1
+	postingsVersion = 1
 
 	secMeta = 1
 	secDoc  = 2
@@ -46,7 +44,7 @@ func (ix *Index) Save(w io.Writer) (int64, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fw := persist.NewFileWriter(w, PostingsMagic, postingsVersion, true)
+	fw := persist.NewFileWriter(w, PostingsMagic, postingsVersion)
 	fw.Section(secMeta, func(pw *persist.Writer) {
 		pw.Int(len(names))
 		pw.Int(int(s.Total))
@@ -104,25 +102,16 @@ func IsPostingsData(data []byte) bool {
 	return len(data) >= len(PostingsMagic) && string(data[:len(PostingsMagic)]) == PostingsMagic
 }
 
-// LoadIndex reads an index written by Save through the copying path.
-func LoadIndex(r io.Reader) (*Index, error) {
-	fr, err := persist.NewFileReader(r, PostingsMagic, postingsVersion, postingsAlignedFrom)
-	if err != nil {
-		return nil, err
-	}
-	return readSections(func() (uint32, persist.Source, error) { return fr.Next() })
-}
-
-// LoadIndexMapped reads an index out of data — typically a mapped file —
-// aliasing the term blobs and int32 arrays in place. data must stay alive
-// and unchanged for the index's whole lifetime (OpenIndexFile manages
-// that automatically).
+// LoadIndexMapped reads an index written by Save out of data — typically
+// a mapped file — aliasing the term blobs and int32 arrays in place. data
+// must stay alive and unchanged for the index's whole lifetime
+// (OpenIndexFile manages that automatically).
 func LoadIndexMapped(data []byte) (*Index, error) {
-	mf, err := persist.OpenMappedContainer(data, PostingsMagic, postingsVersion, postingsAlignedFrom)
+	mf, err := persist.OpenMappedContainer(data, PostingsMagic, postingsVersion)
 	if err != nil {
 		return nil, err
 	}
-	return readSections(func() (uint32, persist.Source, error) { return mf.Next() })
+	return readSections(mf)
 }
 
 // OpenIndexFile opens a saved posting index, memory-mapped when the
@@ -136,11 +125,8 @@ func OpenIndexFile(path string) (*Index, error) {
 	}
 	ix, err := LoadIndexMapped(m.Data())
 	if err != nil {
-		if errors.Is(err, persist.ErrNotMappable) {
-			ix, err = LoadIndex(bytes.NewReader(m.Data()))
-		}
 		m.Close()
-		return ix, err
+		return nil, err
 	}
 	// Pin the mapping from every postings value handed out: snapshots may
 	// outlive the Index itself. Once the last postings value is
@@ -157,14 +143,14 @@ func OpenIndexFile(path string) (*Index, error) {
 // readSections decodes the container sections into an Index. The documents
 // accumulate in a local map and are installed under the lock in one step,
 // so the Index is never observable half-filled.
-func readSections(next func() (uint32, persist.Source, error)) (*Index, error) {
+func readSections(mf *persist.MappedFile) (*Index, error) {
 	docs := make(map[string]*DocPostings)
 	var total int64
 	sawMeta := false
 	wantDocs := 0
 	var wantTotal int64
 	for {
-		id, pr, err := next()
+		id, pr, err := mf.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +201,7 @@ func readSections(next func() (uint32, persist.Source, error)) (*Index, error) {
 }
 
 // readDoc decodes and validates one document section.
-func readDoc(pr persist.Source) (*DocPostings, string, error) {
+func readDoc(pr *persist.MReader) (*DocPostings, string, error) {
 	name := pr.String()
 	tokens := pr.Int()
 	dp := &DocPostings{

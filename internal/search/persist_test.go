@@ -43,13 +43,7 @@ func TestPostingsSaveLoadRoundTrip(t *testing.T) {
 	if !IsPostingsData(buf.Bytes()) {
 		t.Fatal("IsPostingsData = false on saved data")
 	}
-	got, err := LoadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameIndex(t, got, ix)
-
-	// The mapped path reads the same bytes without copying the columns.
+	// The loader reads the bytes in place, without copying the columns.
 	mapped, err := LoadIndexMapped(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +87,7 @@ func TestPostingsLoadTruncated(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := LoadIndex(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := LoadIndexMapped(persist.EnsureAligned(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
@@ -108,9 +102,9 @@ func TestPostingsLoadBitFlips(t *testing.T) {
 	// No single-byte corruption may panic or load as something structurally
 	// invalid; anything that fails must fail as ErrCorrupt.
 	for i := range data {
-		mut := append([]byte(nil), data...)
+		mut := persist.EnsureAligned(append([]byte(nil), data...))
 		mut[i] ^= 0xFF
-		ix, err := LoadIndex(bytes.NewReader(mut))
+		ix, err := LoadIndexMapped(mut)
 		if err != nil {
 			if !errors.Is(err, persist.ErrCorrupt) {
 				t.Fatalf("byte %d: unexpected error type %v", i, err)

@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mmap"
 	"repro/internal/search"
 )
 
@@ -34,8 +36,9 @@ type namedEngine struct {
 }
 
 // snippetEngines opens one document every way a collection can hold it:
-// freshly built (per-text plain store), copy-loaded and mapped (both a
-// blob plain store), and built without a plain store at all.
+// freshly built (per-text plain store), loaded into private memory and
+// opened from a mapped file (both a blob plain store), and built without a
+// plain store at all.
 func snippetEngines(t *testing.T, data []byte) []namedEngine {
 	t.Helper()
 	cfg := core.Config{SampleRate: 4}
@@ -43,19 +46,20 @@ func snippetEngines(t *testing.T, data []byte) []namedEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := built.Save(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "doc.sxsi")
+	if _, err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	copied, err := core.Load(bytes.NewReader(buf.Bytes()), cfg)
+	copied, err := core.LoadFile(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := core.LoadMapped(buf.Bytes(), cfg)
+	mapped, err := core.OpenFile(path, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mapped.Mapped() || copied.Mapped() {
+	t.Cleanup(func() { mapped.Close() })
+	if mapped.Mapped() != mmap.Supported || copied.Mapped() {
 		t.Fatalf("load modes: mapped=%v copied=%v", mapped.Mapped(), copied.Mapped())
 	}
 	skip, err := core.Build(data, core.Config{SampleRate: 4, SkipPlain: true})

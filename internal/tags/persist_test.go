@@ -1,12 +1,12 @@
 package tags
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 func TestSequenceSaveLoadRoundTrip(t *testing.T) {
@@ -19,11 +19,7 @@ func TestSequenceSaveLoadRoundTrip(t *testing.T) {
 			ids[i] = int32(rng.Intn(tc.ids))
 		}
 		s := Build(ids, tc.ids)
-		var buf bytes.Buffer
-		if err := s.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Load(&buf)
+		got, err := persisttest.Decode(persisttest.Encode(s.Store), Read)
 		if err != nil {
 			t.Fatalf("n=%d ids=%d: %v", tc.n, tc.ids, err)
 		}
@@ -53,18 +49,16 @@ func TestSequenceSaveLoadRoundTrip(t *testing.T) {
 
 func TestSequenceLoadCorrupt(t *testing.T) {
 	s := Build([]int32{0, 1, 2, 1, 0, 3}, 4)
-	var buf bytes.Buffer
-	s.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Encode(s.Store)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Decode(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Width inconsistent with the id space.
 	bad := append([]byte(nil), data...)
 	bad[17] = 33 // width field (format byte + n + maxTagID)
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Decode(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad width: %v", err)
 	}
 }

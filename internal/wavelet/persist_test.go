@@ -1,22 +1,18 @@
 package wavelet
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/persist/persisttest"
 )
 
 func roundTrip(t *testing.T, s []byte) *Tree {
 	t.Helper()
 	w := New(s)
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := persisttest.Decode(persisttest.Encode(w.Store), Read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +64,16 @@ func TestTreeSaveLoadRoundTrip(t *testing.T) {
 
 func TestTreeLoadCorrupt(t *testing.T) {
 	w := New([]byte("mississippi river runs"))
-	var buf bytes.Buffer
-	w.Save(&buf)
-	data := buf.Bytes()
+	data := persisttest.Encode(w.Store)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut])); !errors.Is(err, persist.ErrCorrupt) {
+		if _, err := persisttest.Decode(data[:cut], Read); !errors.Is(err, persist.ErrCorrupt) {
 			t.Fatalf("cut=%d err=%v", cut, err)
 		}
 	}
 	// Counts not summing to the length.
 	bad := append([]byte(nil), data...)
 	bad[1] = byte(len("mississippi river runs") + 1)
-	if _, err := Load(bytes.NewReader(bad)); !errors.Is(err, persist.ErrCorrupt) {
+	if _, err := persisttest.Decode(bad, Read); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("bad total: %v", err)
 	}
 }

@@ -1,8 +1,6 @@
 package wordindex
 
 import (
-	"io"
-
 	"repro/internal/persist"
 )
 
@@ -12,19 +10,14 @@ import (
 //
 // Format 2 is the aligned layout: the int32 arrays are padded onto 8-byte
 // offsets so LoadMapped can alias them out of a mapped buffer. Format 1
-// (unaligned) files keep loading through the copying path.
+// (unaligned) is no longer read.
+const wordIndexFormat = 2
 
-const (
-	wordIndexFormat        = 1
-	wordIndexFormatAligned = 2
-)
-
-// Store serializes the index into pw in the aligned layout. The writer's
-// first byte must sit on an 8-byte offset (stream start or an aligned
-// container section) for the alignment to carry to disk.
+// Store serializes the index into pw. The writer's first byte must sit on
+// an 8-byte offset (stream start or a container section) for the
+// alignment to carry to disk.
 func (ix *Index) Store(pw *persist.Writer) {
-	pw.Byte(wordIndexFormatAligned)
-	pw.SetAligned(true)
+	pw.Byte(wordIndexFormat)
 	pw.Int(ix.d)
 	words := make([]string, len(ix.vocab))
 	for w, id := range ix.vocab {
@@ -39,15 +32,12 @@ func (ix *Index) Store(pw *persist.Writer) {
 	pw.Int32s(ix.textOf)
 }
 
-// Read reads an index written by Store (either format). On corrupt input
-// it returns nil and leaves the error in pr.
-func Read(pr persist.Source) *Index {
-	format := pr.Byte()
-	if pr.Check(format == wordIndexFormat || format == wordIndexFormatAligned,
-		"unknown word index format") != nil {
+// Read reads an index written by Store. On corrupt input it returns nil
+// and leaves the error in pr.
+func Read(pr *persist.MReader) *Index {
+	if pr.Check(pr.Byte() == wordIndexFormat, "unknown word index format") != nil {
 		return nil
 	}
-	pr.SetAligned(format == wordIndexFormatAligned)
 	ix := &Index{vocab: map[string]int32{}}
 	ix.d = pr.Int()
 	nWords := pr.Int()
@@ -91,23 +81,6 @@ func Read(pr persist.Source) *Index {
 		}
 	}
 	return ix
-}
-
-// Save serializes the index to w.
-func (ix *Index) Save(w io.Writer) error {
-	pw := persist.NewWriter(w)
-	ix.Store(pw)
-	return pw.Flush()
-}
-
-// Load reads an index written by Save.
-func Load(r io.Reader) (*Index, error) {
-	pr := persist.NewReader(r)
-	ix := Read(pr)
-	if pr.Err() != nil {
-		return nil, pr.Err()
-	}
-	return ix, nil
 }
 
 // LoadMapped reads an aligned-format index out of data, aliasing the int32

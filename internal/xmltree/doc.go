@@ -61,10 +61,6 @@ type Doc struct {
 	// min close / max open positions per tag, used to build follTags and
 	// useful for planning.
 	minClose, maxOpen []int32
-
-	// mappedBytes is the size of the backing buffer a ReadIndexMapped load
-	// aliases its payloads out of; zero for parsed or copy-loaded documents.
-	mappedBytes int
 }
 
 // TextStore is the redundant plain-text collection of Section 3.4. It has
@@ -759,11 +755,6 @@ func (d *Doc) serialize(x int, w io.Writer) error {
 	_, err := io.WriteString(w, "</"+name+">")
 	return err
 }
-
-// MappedBytes returns the size of the mapped buffer this document aliases
-// its payloads out of, or zero when it was parsed or copy-loaded into
-// private memory.
-func (d *Doc) MappedBytes() int { return d.mappedBytes }
 
 // SizeInBytes reports the in-memory footprint, split by component.
 func (d *Doc) SizeInBytes() (tree, text, plain int) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"repro/internal/persist"
 )
@@ -15,21 +16,25 @@ func mappedBytesOf(t *testing.T, d *Doc) []byte {
 }
 
 // TestReadIndexMappedRoundTrip: a mapped load must behave identically to
-// the parsed original, across every observable of checkDocsEqual.
+// the parsed original, across every observable of checkDocsEqual, and its
+// texts must alias the buffer rather than a private copy.
 func TestReadIndexMappedRoundTrip(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
-	got, err := ReadIndexMapped(mappedBytesOf(t, d), Options{SampleRate: 4})
+	data := mappedBytesOf(t, d)
+	got, err := ReadIndexMapped(data, Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MappedBytes() == 0 {
-		t.Fatal("mapped load reports no mapped bytes")
+	text := got.Text(0)
+	base := uintptr(unsafe.Pointer(&data[0]))
+	if p := uintptr(unsafe.Pointer(&text[0])); p < base || p >= base+uintptr(len(data)) {
+		t.Fatal("loaded text does not alias the buffer")
 	}
 	checkDocsEqual(t, d, got)
 }
 
-// TestReadIndexMappedSkipVariants: the option combinations of the copying
-// loader behave the same on the mapped one.
+// TestReadIndexMappedSkipVariants: every option combination decodes the
+// same document.
 func TestReadIndexMappedSkipVariants(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
 	data := mappedBytesOf(t, d)
@@ -61,10 +66,9 @@ func TestReadIndexMappedSkipVariants(t *testing.T) {
 	}
 }
 
-// TestReadIndexMappedCorrupt mirrors TestReadIndexCorrupt on the mapped
-// path: every truncation and every single-byte corruption must either
-// load or fail with the typed error — no panics, no out-of-bounds reads
-// on short maps.
+// TestReadIndexMappedCorrupt: every truncation and every single-byte
+// corruption must either load or fail with the typed error — no panics,
+// no out-of-bounds reads on short buffers.
 func TestReadIndexMappedCorrupt(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
 	data := mappedBytesOf(t, d)
@@ -87,79 +91,24 @@ func TestReadIndexMappedCorrupt(t *testing.T) {
 				}
 			}()
 			_, err := ReadIndexMapped(mut, Options{})
-			if err != nil && !errors.Is(err, ErrBadIndexFile) && !errors.Is(err, ErrNotMappable) {
+			if err != nil && !errors.Is(err, ErrBadIndexFile) {
 				t.Fatalf("byte %d: unexpected error %v", i, err)
 			}
 		}()
 	}
 }
 
-// TestOldVersionLoadsViaCopyingPath: a version-2 (pre-alignment) file
-// loads through ReadIndex and is refused, typed, by ReadIndexMapped.
-func TestOldVersionLoadsViaCopyingPath(t *testing.T) {
-	d := mustParse(t, Options{SampleRate: 4})
-	var old bytes.Buffer
-	if _, err := d.WriteToVersion(&old, 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadIndex(bytes.NewReader(old.Bytes()), Options{SampleRate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDocsEqual(t, d, got)
-
-	if _, err := ReadIndexMapped(persist.EnsureAligned(old.Bytes()), Options{}); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("v2 mapped: want ErrNotMappable, got %v", err)
-	}
-
-	// The v2 stream must be smaller than or equal to v3 minus its padding:
-	// same sections, no alignment. Sanity-check the versions actually differ.
-	if bytes.Equal(old.Bytes(), saveBytes(t, d)) {
-		t.Fatal("v2 and v3 streams are identical; alignment not active")
-	}
-}
-
-// TestResaveByteIdentical: load → save → load → save must be a fixed
-// point, through the copying path, through the mapped path, and starting
-// from a v2 file — proving old files survive the upgrade losslessly.
+// TestResaveByteIdentical: load → save must be a fixed point, so a saved
+// index reopens as the same structure it was built as.
 func TestResaveByteIdentical(t *testing.T) {
 	d := mustParse(t, Options{SampleRate: 4})
 	first := saveBytes(t, d)
-
-	viaCopy, err := ReadIndex(bytes.NewReader(first), Options{SampleRate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second := saveBytes(t, viaCopy); !bytes.Equal(first, second) {
-		t.Fatal("copy-loaded re-save differs")
-	}
-
 	viaMap, err := ReadIndexMapped(persist.EnsureAligned(first), Options{SampleRate: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second := saveBytes(t, viaMap); !bytes.Equal(first, second) {
 		t.Fatal("mapped re-save differs")
-	}
-
-	var old bytes.Buffer
-	if _, err := d.WriteToVersion(&old, 2); err != nil {
-		t.Fatal(err)
-	}
-	fromOld, err := ReadIndex(bytes.NewReader(old.Bytes()), Options{SampleRate: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if upgraded := saveBytes(t, fromOld); !bytes.Equal(first, upgraded) {
-		t.Fatal("v2 → v3 upgrade re-save differs from a direct v3 save")
-	}
-	// And writing v2 again is stable too.
-	var again bytes.Buffer
-	if _, err := fromOld.WriteToVersion(&again, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(old.Bytes(), again.Bytes()) {
-		t.Fatal("v2 re-save differs")
 	}
 }
 
@@ -180,11 +129,9 @@ func FuzzLoadMapped(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:8])
-	var old bytes.Buffer
-	if _, err := d.WriteToVersion(&old, 2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(old.Bytes())
+	legacy := append([]byte(nil), seed...)
+	legacy[len(IndexMagic)] = 2 // a pre-alignment version label
+	f.Add(legacy)
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/3] ^= 0x40
 	f.Add(mut)
@@ -192,7 +139,7 @@ func FuzzLoadMapped(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := ReadIndexMapped(persist.EnsureAligned(data), Options{})
 		if err != nil {
-			if !errors.Is(err, ErrBadIndexFile) && !errors.Is(err, ErrNotMappable) {
+			if !errors.Is(err, ErrBadIndexFile) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return

@@ -90,8 +90,10 @@ func BuildFile(path string, cfg Config) (*Index, error) {
 	return &Index{e}, nil
 }
 
-// Load reads an index previously written with Save. Loading skips suffix
-// sorting and is much faster than Build.
+// Load reads an index previously written with Save into private memory.
+// Loading skips suffix sorting and is much faster than Build. Indexes
+// saved before the current (aligned) format are rejected with an error
+// naming their version; rebuild them from XML.
 func Load(r io.Reader, cfg Config) (*Index, error) {
 	e, err := core.Load(r, cfg)
 	if err != nil {
@@ -101,7 +103,7 @@ func Load(r io.Reader, cfg Config) (*Index, error) {
 }
 
 // LoadFile reads an index file previously written with SaveFile (or the
-// sxsi CLI's build subcommand).
+// sxsi CLI's build subcommand) into private memory, as Load does.
 func LoadFile(path string, cfg Config) (*Index, error) {
 	e, err := core.LoadFile(path, cfg)
 	if err != nil {
@@ -113,8 +115,9 @@ func LoadFile(path string, cfg Config) (*Index, error) {
 // OpenFile opens an index file memory-mapped: the succinct payloads alias
 // the mapped file, so opening costs only the derived directories and the
 // index pages stay shared with the OS page cache across processes and
-// restarts. Old (pre-alignment) index files and cfg.NoMmap fall back to
-// the copying load. Call Close on the returned index once it is no longer
+// restarts. With cfg.NoMmap the whole file is read into private memory
+// instead (including an FM section that SkipFM never decodes) and decoded
+// the same way. Call Close on the returned index once it is no longer
 // used to release the mapping.
 func OpenFile(path string, cfg Config) (*Index, error) {
 	e, err := core.OpenFile(path, cfg)
