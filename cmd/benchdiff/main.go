@@ -17,8 +17,9 @@
 //
 // With -snapshot, benchdiff instead canonicalizes a single run into the
 // benchmark-trajectory JSON that CI commits on every push to main (the
-// BENCH_<run>.json files at the repo root): per benchmark the median ns/op
-// and the run count, sorted by name, plus whatever -commit identifier the
+// BENCH_<run>.json files at the repo root): per benchmark the median ns/op,
+// the median B/op and allocs/op when the run was made with -benchmem, and
+// the run count, sorted by name, plus whatever -commit identifier the
 // caller passes. Nothing gates in snapshot mode.
 //
 //	benchdiff -snapshot run.txt -pinned "$PINNED" -commit "$SHA" -json BENCH_main.json
@@ -52,12 +53,22 @@ type report struct {
 	Results   []result `json:"results"`
 }
 
-// snapshotResult is one benchmark's entry in the trajectory JSON.
+// snapshotResult is one benchmark's entry in the trajectory JSON. The
+// memory columns are absent when no run of the benchmark reported them.
 type snapshotResult struct {
-	Name   string  `json:"name"`
-	NsOp   float64 `json:"ns_op"`
-	Runs   int     `json:"runs"`
-	Pinned bool    `json:"pinned"`
+	Name     string   `json:"name"`
+	NsOp     float64  `json:"ns_op"`
+	BOp      *float64 `json:"b_op,omitempty"`
+	AllocsOp *float64 `json:"allocs_op,omitempty"`
+	Runs     int      `json:"runs"`
+	Pinned   bool     `json:"pinned"`
+}
+
+// sample is one benchmark result line. mem reports whether the line
+// carries B/op and allocs/op (-benchmem or b.ReportAllocs).
+type sample struct {
+	ns, bytesOp, allocsOp float64
+	mem                   bool
 }
 
 // snapshotReport is the canonical trajectory file CI commits on pushes to
@@ -94,7 +105,11 @@ func main() {
 			os.Exit(2)
 		}
 		for _, r := range rep.Results {
-			fmt.Printf("%-50s ns/op=%12.1f runs=%d pinned=%v\n", r.Name, r.NsOp, r.Runs, r.Pinned)
+			mem := ""
+			if r.BOp != nil && r.AllocsOp != nil {
+				mem = fmt.Sprintf(" B/op=%.0f allocs/op=%.0f", *r.BOp, *r.AllocsOp)
+			}
+			fmt.Printf("%-50s ns/op=%12.1f%s runs=%d pinned=%v\n", r.Name, r.NsOp, mem, r.Runs, r.Pinned)
 		}
 		if *jsonOut != "" {
 			if err := writeJSON(*jsonOut, rep); err != nil {
@@ -148,8 +163,8 @@ func main() {
 }
 
 // snapshot canonicalizes one run set into the trajectory report: median
-// ns/op per benchmark, sorted by name for stable diffs.
-func snapshot(runs map[string][]float64, pinned *regexp.Regexp, commit string) snapshotReport {
+// ns/op, B/op and allocs/op per benchmark, sorted by name for stable diffs.
+func snapshot(runs map[string][]sample, pinned *regexp.Regexp, commit string) snapshotReport {
 	rep := snapshotReport{Commit: commit, Pinned: pinned.String()}
 	names := make([]string, 0, len(runs))
 	for n := range runs {
@@ -157,11 +172,14 @@ func snapshot(runs map[string][]float64, pinned *regexp.Regexp, commit string) s
 	}
 	sort.Strings(names)
 	for _, n := range names {
+		bOp, allocsOp := memMedians(runs[n])
 		rep.Results = append(rep.Results, snapshotResult{
-			Name:   n,
-			NsOp:   median(runs[n]),
-			Runs:   len(runs[n]),
-			Pinned: pinned.MatchString(n),
+			Name:     n,
+			NsOp:     nsMedian(runs[n]),
+			BOp:      bOp,
+			AllocsOp: allocsOp,
+			Runs:     len(runs[n]),
+			Pinned:   pinned.MatchString(n),
 		})
 	}
 	return rep
@@ -175,8 +193,34 @@ func writeJSON(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// nsMedian is the median ns/op of the samples.
+func nsMedian(ss []sample) float64 {
+	xs := make([]float64, len(ss))
+	for i, s := range ss {
+		xs[i] = s.ns
+	}
+	return median(xs)
+}
+
+// memMedians is the median B/op and allocs/op of the samples that carry
+// them, or nil when none does.
+func memMedians(ss []sample) (bytesOp, allocsOp *float64) {
+	var bs, as []float64
+	for _, s := range ss {
+		if s.mem {
+			bs = append(bs, s.bytesOp)
+			as = append(as, s.allocsOp)
+		}
+	}
+	if len(bs) == 0 {
+		return nil, nil
+	}
+	b, a := median(bs), median(as)
+	return &b, &a
+}
+
 // compare builds the report: per benchmark, median old vs median new.
-func compare(oldRuns, newRuns map[string][]float64, pinned *regexp.Regexp, threshold float64) report {
+func compare(oldRuns, newRuns map[string][]sample, pinned *regexp.Regexp, threshold float64) report {
 	names := map[string]bool{}
 	for n := range oldRuns {
 		names[n] = true
@@ -192,8 +236,8 @@ func compare(oldRuns, newRuns map[string][]float64, pinned *regexp.Regexp, thres
 	rep := report{Threshold: threshold, Pinned: pinned.String()}
 	for _, n := range sorted {
 		r := result{Name: n, Pinned: pinned.MatchString(n)}
-		r.OldNsOp = median(oldRuns[n])
-		r.NewNsOp = median(newRuns[n])
+		r.OldNsOp = nsMedian(oldRuns[n])
+		r.NewNsOp = nsMedian(newRuns[n])
 		if r.OldNsOp > 0 && r.NewNsOp > 0 {
 			r.Ratio = r.NewNsOp / r.OldNsOp
 			r.Regressed = r.Pinned && r.Ratio > threshold
@@ -215,54 +259,62 @@ func median(xs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-func parseFile(path string) (map[string][]float64, error) {
+func parseFile(path string) (map[string][]sample, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	runs := map[string][]float64{}
+	runs := map[string][]sample{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		name, ns, ok := parseLine(sc.Text())
+		name, s, ok := parseLine(sc.Text())
 		if ok {
-			runs[name] = append(runs[name], ns)
+			runs[name] = append(runs[name], s)
 		}
 	}
 	return runs, sc.Err()
 }
 
-// parseLine extracts (name, ns/op) from one benchmark result line, e.g.
+// parseLine extracts the name and figures from one benchmark result line,
+// e.g.
 //
-//	BenchmarkLoad-8   	     100	  12300201 ns/op	 170.90 MB/s
+//	BenchmarkLoad-8   	     100	  12300201 ns/op	 170.90 MB/s	 3391234 B/op	    1544 allocs/op
 //
-// The trailing -N GOMAXPROCS suffix is stripped so runs from machines with
-// different core counts still line up.
-func parseLine(line string) (string, float64, bool) {
+// Each figure is the field before its unit; B/op and allocs/op are
+// optional. The trailing -N GOMAXPROCS suffix is stripped so runs from
+// machines with different core counts still line up.
+func parseLine(line string) (string, sample, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", 0, false
+		return "", sample{}, false
 	}
-	nsIdx := -1
-	for i, f := range fields {
-		if f == "ns/op" {
-			nsIdx = i - 1
-			break
+	var s sample
+	hasNs, hasB, hasAllocs := false, false, false
+	for i := 3; i < len(fields); i++ {
+		v, err := strconv.ParseFloat(fields[i-1], 64)
+		if err != nil {
+			continue
+		}
+		switch fields[i] {
+		case "ns/op":
+			s.ns, hasNs = v, true
+		case "B/op":
+			s.bytesOp, hasB = v, true
+		case "allocs/op":
+			s.allocsOp, hasAllocs = v, true
 		}
 	}
-	if nsIdx < 2 {
-		return "", 0, false
+	if !hasNs {
+		return "", sample{}, false
 	}
-	ns, err := strconv.ParseFloat(fields[nsIdx], 64)
-	if err != nil {
-		return "", 0, false
-	}
+	s.mem = hasB && hasAllocs
 	name := fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]
 		}
 	}
-	return name, ns, true
+	return name, s, true
 }

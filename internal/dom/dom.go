@@ -12,7 +12,6 @@ package dom
 
 import (
 	"bytes"
-	"fmt"
 
 	"repro/internal/xmlparse"
 	"repro/internal/xpath"
@@ -375,7 +374,7 @@ func walkPath(n *Node, steps []*xpath.Step, visit func(*Node) bool) {
 func (n *Node) Serialize(buf *bytes.Buffer) {
 	switch n.Tag {
 	case "#", "%":
-		buf.Write(xmlparse.Escape(n.Text, false))
+		buf.Write(xmlparse.AppendEscape(buf.AvailableBuffer(), n.Text, false))
 		return
 	case "&":
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
@@ -390,7 +389,11 @@ func (n *Node) Serialize(buf *bytes.Buffer) {
 	content := n.FirstChild
 	if content != nil && content.Tag == "@" {
 		for a := content.FirstChild; a != nil; a = a.NextSibling {
-			fmt.Fprintf(buf, " %s=\"%s\"", a.Tag, xmlparse.Escape(a.FirstChild.Text, true))
+			buf.WriteByte(' ')
+			buf.WriteString(a.Tag)
+			buf.WriteString(`="`)
+			buf.Write(xmlparse.AppendEscape(buf.AvailableBuffer(), a.FirstChild.Text, true))
+			buf.WriteByte('"')
 		}
 		content = content.NextSibling
 	}

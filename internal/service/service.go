@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/collection"
 	"repro/internal/core"
+	"repro/internal/xmltree"
 )
 
 // Config tunes the HTTP layer; the zero value imposes no admission limits.
@@ -409,8 +410,9 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 func commentSafe(s string) string { return strings.ReplaceAll(s, "--", "- -") }
 
 // flushEvery is how many streamed bytes may accumulate before the
-// response is flushed to the client.
-const flushEvery = 32 << 10
+// response is flushed to the client. It is the serializer's write size, so
+// every full chunk the serializer writes is flushed at once.
+const flushEvery = xmltree.WriteChunk
 
 // trackingWriter wraps the response writer of a streamed GET /query. It
 // records whether any body byte reached the client (which decides between

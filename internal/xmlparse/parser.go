@@ -411,37 +411,40 @@ func indexFrom(data []byte, from int, sub string) int {
 	return from + idx
 }
 
-// Escape writes s with the five predefined entities escaped, for
-// serialization (Section 4.3 / experimental protocol in Section 6.1).
-func Escape(s []byte, attr bool) []byte {
-	needs := false
-	for _, c := range s {
-		if c == '&' || c == '<' || c == '>' || (attr && (c == '"' || c == '\'')) {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return s
-	}
-	out := make([]byte, 0, len(s)+8)
-	for _, c := range s {
-		switch {
-		case c == '&':
-			out = append(out, "&amp;"...)
-		case c == '<':
-			out = append(out, "&lt;"...)
-		case c == '>':
-			out = append(out, "&gt;"...)
-		case attr && c == '"':
-			out = append(out, "&quot;"...)
-		case attr && c == '\'':
-			out = append(out, "&apos;"...)
+// AppendEscape appends s to dst with the markup characters escaped as
+// predefined entities, for serialization (Section 4.3 / experimental
+// protocol in Section 6.1): ampersand and angle brackets always, both
+// quote characters too when attr is set (attribute values). Unescaped runs
+// are copied in one piece, so text without markup costs one append.
+func AppendEscape(dst, s []byte, attr bool) []byte {
+	start := 0
+	for i, c := range s {
+		var ent string
+		switch c {
+		case '&':
+			ent = "&amp;"
+		case '<':
+			ent = "&lt;"
+		case '>':
+			ent = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ent = "&quot;"
+		case '\'':
+			if !attr {
+				continue
+			}
+			ent = "&apos;"
 		default:
-			out = append(out, c)
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, ent...)
+		start = i + 1
 	}
-	return out
+	return append(dst, s[start:]...)
 }
 
 func min(a, b int) int {

@@ -153,8 +153,8 @@ func TestErrorOffsetReported(t *testing.T) {
 
 func TestEscapeRoundTrip(t *testing.T) {
 	orig := `a<b&c>"d'e`
-	esc := string(Escape([]byte(orig), true))
-	doc := `<x t="` + esc + `">` + string(Escape([]byte(orig), false)) + `</x>`
+	esc := string(AppendEscape(nil, []byte(orig), true))
+	doc := `<x t="` + esc + `">` + string(AppendEscape(nil, []byte(orig), false)) + `</x>`
 	rec := &recorder{}
 	if err := Parse([]byte(doc), rec); err != nil {
 		t.Fatalf("%v (doc=%q)", err, doc)
@@ -164,6 +164,28 @@ func TestEscapeRoundTrip(t *testing.T) {
 	}
 	if rec.events[1] != "T:"+orig {
 		t.Fatalf("text roundtrip: %q", rec.events[1])
+	}
+}
+
+// TestAppendEscape pins the entity set per context and that dst's prefix
+// is kept: quotes are escaped in attribute values only.
+func TestAppendEscape(t *testing.T) {
+	cases := []struct {
+		s, text, attr string
+	}{
+		{"", "", ""},
+		{"plain", "plain", "plain"},
+		{`a<b&c>"d'e`, `a&lt;b&amp;c&gt;"d'e`, `a&lt;b&amp;c&gt;&quot;d&apos;e`},
+		{"<<&&>>", "&lt;&lt;&amp;&amp;&gt;&gt;", "&lt;&lt;&amp;&amp;&gt;&gt;"},
+		{`"'`, `"'`, "&quot;&apos;"},
+	}
+	for _, c := range cases {
+		if got := string(AppendEscape([]byte("pre:"), []byte(c.s), false)); got != "pre:"+c.text {
+			t.Errorf("text %q: got %q, want %q", c.s, got, "pre:"+c.text)
+		}
+		if got := string(AppendEscape([]byte("pre:"), []byte(c.s), true)); got != "pre:"+c.attr {
+			t.Errorf("attr %q: got %q, want %q", c.s, got, "pre:"+c.attr)
+		}
 	}
 }
 

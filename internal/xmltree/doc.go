@@ -9,7 +9,6 @@ package xmltree
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/bitvec"
@@ -685,75 +684,115 @@ func (d *Doc) TextValue(x int) []byte {
 
 // --- Serialization (Section 4.3) ---
 
-// GetText writes the text with identifier id to w.
-func (d *Doc) GetText(id int, w io.Writer) error {
-	_, err := w.Write(d.Text(id))
-	return err
-}
+// WriteChunk is the serializer's write size: output accumulates in one
+// buffer and is written out whenever the buffer reaches this many bytes,
+// with a cancellation check before each write. The HTTP service flushes
+// streamed responses at the same size.
+const WriteChunk = 32 << 10
 
 // GetSubtree serializes the XML content of the subtree rooted at x to w,
-// reproducing tags, attributes and escaped text.
+// reproducing tags, attributes and escaped text. It runs AppendSubtree into
+// a buffer of its own and writes what is left at the end.
 func (d *Doc) GetSubtree(x int, w io.Writer) error {
-	return d.serialize(x, w)
+	buf, err := d.AppendSubtree(context.Background(), nil, x, w)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
 }
 
-func (d *Doc) serialize(x int, w io.Writer) error {
-	tag := d.TagOf(x)
-	switch tag {
-	case d.TextTag(), d.AttrValTag():
-		id := d.NodeToTextID(x)
-		if id >= 0 {
-			if _, err := w.Write(xmlparse.Escape(d.Text(id), false)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case d.RootTag():
-		for c := d.FirstChild(x); c != Nil; c = d.NextSibling(c) {
-			if err := d.serialize(c, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	case d.AttrsTag():
-		return nil // handled by the parent element
-	}
-	name := d.TagName(tag)
-	if _, err := io.WriteString(w, "<"+name); err != nil {
-		return err
-	}
-	first := d.FirstChild(x)
-	content := first
-	if first != Nil && d.TagOf(first) == d.AttrsTag() {
-		for a := d.FirstChild(first); a != Nil; a = d.NextSibling(a) {
-			aname := d.TagName(d.TagOf(a))
-			leaf := d.FirstChild(a)
-			var val []byte
-			if leaf != Nil {
-				if id := d.NodeToTextID(leaf); id >= 0 {
-					val = d.Text(id)
+// AppendSubtree appends the XML serialization of the subtree rooted at x to
+// dst in one forward scan of its parenthesis range [x, Close(x)], as
+// GetSubtree does in Section 4.3: each position's tag id names an opening
+// (even) or closing (odd) tag, and texts are taken by consecutive
+// identifiers starting at the first one inside the range. No node is
+// navigated to. An element's "<name" stays open until its next event
+// decides between ">" and "/>"; the "@" container right after it turns
+// its children into ` name="value"` pairs. Text is escaped; an "@" node
+// not opened right after its element (x itself) yields nothing.
+//
+// Whenever dst reaches WriteChunk bytes it is written to w and reused from
+// its start, after a check of ctx, so a cancelled serialization stops within
+// one chunk. The returned slice holds the bytes not yet written; on error
+// the output written so far is a prefix of the serialization.
+func (d *Doc) AppendSubtree(ctx context.Context, dst []byte, x int, w io.Writer) ([]byte, error) {
+	rootTag, textTag, attrsTag, valTag := d.RootTag(), d.TextTag(), d.AttrsTag(), d.AttrValTag()
+	id := d.leafB.Rank1(x) // identifier of the next text in the range
+	open, inAttrs := false, false
+	var err error
+	for p, end := x, d.Par.Close(x); p <= end; p++ {
+		t := d.Tag.Access(p)
+		tag := t >> 1
+		if t&1 == 0 { // opening tag
+			switch {
+			case tag == textTag || tag == valTag:
+				if open && !inAttrs {
+					dst = append(dst, '>')
+					open = false
 				}
+				if d.leafB.Get(p) {
+					dst = xmlparse.AppendEscape(dst, d.Text(id), inAttrs)
+					id++
+				}
+			case inAttrs: // attribute name
+				dst = append(dst, ' ')
+				dst = append(dst, d.names[tag]...)
+				dst = append(dst, '=', '"')
+			case tag == attrsTag:
+				if open {
+					inAttrs = true
+				} else {
+					p = d.Par.Close(p)
+				}
+			case tag == rootTag:
+			default:
+				if open {
+					dst = append(dst, '>')
+				}
+				dst = append(dst, '<')
+				dst = append(dst, d.names[tag]...)
+				open = true
 			}
-			if _, err := fmt.Fprintf(w, " %s=\"%s\"", aname, xmlparse.Escape(val, true)); err != nil {
-				return err
+		} else {
+			switch {
+			case tag == textTag || tag == valTag || tag == rootTag:
+			case tag == attrsTag:
+				inAttrs = false
+			case inAttrs:
+				dst = append(dst, '"')
+			case open:
+				dst = append(dst, '/', '>')
+				open = false
+			default:
+				dst = append(dst, '<', '/')
+				dst = append(dst, d.names[tag]...)
+				dst = append(dst, '>')
 			}
 		}
-		content = d.NextSibling(first)
-	}
-	if content == Nil {
-		_, err := io.WriteString(w, "/>")
-		return err
-	}
-	if _, err := io.WriteString(w, ">"); err != nil {
-		return err
-	}
-	for c := content; c != Nil; c = d.NextSibling(c) {
-		if err := d.serialize(c, w); err != nil {
-			return err
+		if len(dst) >= WriteChunk {
+			if dst, err = WriteFull(ctx, dst, w); err != nil {
+				return dst, err
+			}
 		}
 	}
-	_, err := io.WriteString(w, "</"+name+">")
-	return err
+	return dst, nil
+}
+
+// WriteFull writes dst to w once it holds at least WriteChunk bytes and
+// returns it emptied for reuse; a shorter dst is returned as it is. The
+// context is checked before each write.
+func WriteFull(ctx context.Context, dst []byte, w io.Writer) ([]byte, error) {
+	if len(dst) < WriteChunk {
+		return dst, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
+	if _, err := w.Write(dst); err != nil {
+		return dst, err
+	}
+	return dst[:0], nil
 }
 
 // SizeInBytes reports the in-memory footprint, split by component.

@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -201,6 +202,49 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if buf.String() != buf2.String() {
 			t.Fatalf("not a fixed point:\n1: %s\n2: %s", buf.String(), buf2.String())
 		}
+	}
+}
+
+// chunkRecorder keeps every write it is handed, separately.
+type chunkRecorder struct{ writes [][]byte }
+
+func (w *chunkRecorder) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestAppendSubtreeChunks pins the write pattern of the serializer: a
+// subtree many chunks long reaches the writer in pieces of at least
+// WriteChunk bytes (only the last one shorter), whose concatenation is the
+// serialization; AppendSubtree keeps a short tail in the returned buffer,
+// after the caller's bytes.
+func TestAppendSubtreeChunks(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i := 0; i < 10000; i++ {
+		sb.WriteString(`<b k="v">w &amp; w</b><e/>`)
+	}
+	sb.WriteString("</r>")
+	d := parse(t, sb.String(), Options{SkipFM: true})
+	var rec chunkRecorder
+	if err := d.GetSubtree(d.Root(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.writes) < 3 {
+		t.Fatalf("%d writes, want several chunks", len(rec.writes))
+	}
+	for i, p := range rec.writes[:len(rec.writes)-1] {
+		if len(p) < WriteChunk {
+			t.Fatalf("write %d: %d bytes, want >= %d", i, len(p), WriteChunk)
+		}
+	}
+	if got := string(bytes.Join(rec.writes, nil)); got != sb.String() {
+		t.Fatalf("chunks do not join to the document (%d vs %d bytes)", len(got), sb.Len())
+	}
+	small := d.Root() + 2 // the first <b>, right after <&> and <r>
+	dst, err := d.AppendSubtree(context.Background(), []byte("pre:"), small, &rec)
+	if err != nil || string(dst) != `pre:<b k="v">w &amp; w</b>` {
+		t.Fatalf("AppendSubtree = %q, %v", dst, err)
 	}
 }
 

@@ -2,10 +2,11 @@ package xpath
 
 // Cancellation tests. All mid-flight cancellations here are deterministic:
 // instead of racing a timer against the evaluator, a custom match-set
-// predicate cancels the context from inside the evaluation at a known call,
-// and the assertions rely only on the documented polling intervals (the
-// automaton checks every 64 visits, the bottom-up climb every 64 leaves,
-// the scanning iterator every 256 candidates).
+// predicate (or, for serialization, the writer) cancels the context at a
+// known call, and the assertions rely only on the documented polling
+// intervals (the automaton checks every 64 visits, the bottom-up climb
+// every 64 leaves, the scanning iterator every 256 candidates, the
+// serializer before every xmltree.WriteChunk write).
 
 import (
 	"context"
@@ -343,5 +344,46 @@ func TestCancellationStress(t *testing.T) {
 		}
 		cancel()
 		wg.Wait()
+	}
+}
+
+// cancelWriter cancels its context on the first write and counts the
+// bytes it is handed.
+type cancelWriter struct {
+	cancel  context.CancelFunc
+	written int
+}
+
+func (w *cancelWriter) Write(p []byte) (int, error) {
+	w.cancel()
+	w.written += len(p)
+	return len(p), nil
+}
+
+// TestMidFlightCancelSerialize cancels inside a single result: the whole
+// document is one subtree many write chunks long, and a cancellation that
+// arrives with the first chunk must stop the scan at its next write, long
+// before the body is complete.
+func TestMidFlightCancelSerialize(t *testing.T) {
+	d := wideDoc(t, 20000)
+	q, err := Compile("/*", d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full strings.Builder
+	if n, err := q.Serialize(&full); err != nil || n != 1 {
+		t.Fatalf("Serialize = %d, %v; want one result", n, err)
+	}
+	if full.Len() < 3*xmltree.WriteChunk {
+		t.Fatalf("document serializes to %d bytes, want several chunks", full.Len())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelWriter{cancel: cancel}
+	if _, err := q.SerializeCtx(ctx, w); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SerializeCtx: err = %v, want Canceled", err)
+	}
+	if w.written == 0 || w.written >= 2*xmltree.WriteChunk {
+		t.Fatalf("wrote %d of %d bytes after cancelling on the first write, want one chunk", w.written, full.Len())
 	}
 }

@@ -372,33 +372,40 @@ func (q *Query) Serialize(w io.Writer) (int, error) {
 }
 
 // SerializeCtx streams the XML serialization of the result nodes to w,
-// pulling from the lazy iterator so streamable queries hold at most one
-// result at a time, and returns the number of results written.
-func (q *Query) SerializeCtx(ctx context.Context, w io.Writer) (int, error) {
+// one per line, and returns the number of results. It pulls from the lazy
+// iterator, so streamable queries hold at most one result at a time, and
+// appends every result to one buffer that is written to w in
+// xmltree.WriteChunk pieces and once at the end. Element results are
+// serialized by a forward scan of their parenthesis range
+// (xmltree.AppendSubtree); text and attribute-value results are their raw
+// text. ctx is checked before every write, inside a result too. On error,
+// the bytes written to w are a prefix of the output, and n counts the
+// results serialized before the failure.
+func (q *Query) SerializeCtx(ctx context.Context, w io.Writer) (n int, err error) {
 	it := q.Iter(ctx)
 	defer it.Close()
-	n := 0
+	var buf []byte
 	for {
 		x, ok := it.Next()
 		if !ok {
 			break
 		}
-		tag := q.doc.TagOf(x)
-		var err error
-		if tag == q.doc.TextTag() || tag == q.doc.AttrValTag() {
-			err = q.doc.GetText(q.doc.NodeToTextID(x), w)
-		} else {
-			err = q.doc.GetSubtree(x, w)
-		}
-		if err != nil {
+		if tag := q.doc.TagOf(x); tag == q.doc.TextTag() || tag == q.doc.AttrValTag() {
+			buf = append(buf, q.doc.Text(q.doc.NodeToTextID(x))...)
+		} else if buf, err = q.doc.AppendSubtree(ctx, buf, x, w); err != nil {
 			return n, err
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return n, err
-		}
+		buf = append(buf, '\n')
 		n++
+		if buf, err = xmltree.WriteFull(ctx, buf, w); err != nil {
+			return n, err
+		}
 	}
-	return n, it.Err()
+	if err := it.Err(); err != nil {
+		return n, err
+	}
+	_, err = w.Write(buf)
+	return n, err
 }
 
 func (q *Query) setStats(s automata.Stats) {
